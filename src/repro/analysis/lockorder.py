@@ -27,13 +27,12 @@ graph:
   tiered store's device/host pair relies on RLock re-entrancy plus a
   strict device→host hierarchy) are out of scope — self-edges are
   skipped and the hierarchy is documented in DESIGN.md instead.
-* **LOK102.** Functions annotated ``# thread: kernel`` are
-  ``BatchedSchedule`` compute callbacks: they run on the kernel pool
-  while the compute thread is already gathering the next group, so a
-  raw lock acquisition there risks lock-order inversions invisible to
-  the per-class graph *and* stalls the pipeline. Callbacks must go
-  through the store's thread-safe entry points (``fill``) instead;
-  any direct ``with <lock>:`` in such a function is flagged.
+* **LOK102.** Functions annotated ``# thread: kernel`` are compute
+  callbacks that run concurrently with the compute thread, so a raw
+  lock acquisition there risks lock-order inversions invisible to the
+  per-class graph *and* stalls the pipeline. Any ``# thread: kernel``
+  callback must go through the store's thread-safe entry points
+  instead; any direct ``with <lock>:`` in such a function is flagged.
 
 Unresolvable receivers and dynamic dispatch (collector callbacks,
 ``fn()`` through a variable) are skipped — like every checker here,
@@ -336,11 +335,10 @@ def check_lockorder(files: list[SourceFile],
             findings.append(Finding(
                 path=str(facts.sf.path), line=acq.line, rule="LOK102",
                 message=(f"lock '{acq.node}' acquired inside kernel compute "
-                         f"callback '{facts.func.qualname}': BatchedSchedule "
-                         f"callbacks run on the kernel pool concurrently with "
-                         f"the gather loop and must stay lock-free — use the "
-                         f"store's thread-safe entry points (fill/get) "
-                         f"instead"),
+                         f"callback '{facts.func.qualname}': kernel "
+                         f"callbacks run concurrently with the compute "
+                         f"thread and must stay lock-free — use the "
+                         f"store's thread-safe entry points instead"),
             ))
 
     # -- LOK101: cycles in the acquisition graph --------------------------------

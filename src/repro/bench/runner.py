@@ -6,12 +6,6 @@ read skipping on/off, Fig. 5 runtime under a simulated HDD (out-of-core
 vs OS paging), and the §4.3 lazy SPR search — and writes a versioned
 ``BENCH_results.json`` (:mod:`repro.bench.schema`).
 
-The Fig. 5 workloads also run under the batched kernel schedule
-(``--batch``, :mod:`repro.phylo.likelihood.schedule`); the runner fails
-unless each batched entry reproduces its unbatched partner's likelihood
-and I/O counters bit-for-bit, and it records the wall-time speedup as a
-derived metric so ``--baseline`` tracks kernel regressions.
-
 Every out-of-core workload runs with a live metrics registry attached;
 the reported counters come from the engine's :class:`IoStats` and are
 cross-checked against the registry snapshot, so a bench run doubles as
@@ -69,9 +63,8 @@ def _geometry(ctx):
 
 
 def _build_engine(ctx, *, layout="whole", policy="lru", read_skipping=True,
-                  backing_kind="memory", store=None, batch=None,
-                  kernel_threads=1, writeback_depth=0, io_threads=1,
-                  shards=None):
+                  backing_kind="memory", store=None, writeback_depth=0,
+                  io_threads=1, shards=None):
     from repro.core.backing import SimulatedDiskBackingStore
     from repro.core.layout import make_layout
     from repro.phylo.likelihood.engine import LikelihoodEngine
@@ -125,7 +118,6 @@ def _build_engine(ctx, *, layout="whole", policy="lru", read_skipping=True,
         policy_kwargs=policy_kwargs, backing=backing,
         read_skipping=read_skipping,
         writeback_depth=writeback_depth, io_threads=io_threads,
-        batch=batch, kernel_threads=kernel_threads,
     )
 
 
@@ -269,21 +261,6 @@ def _workloads(ctx):
                                  layout="block"),
            full, cfg(policy="lru", layout="block",
                      block_sites=ctx["block_sites"], backing="simulated-hdd"))
-    yield ("fig5_ooc_whole_batch", "fig5",
-           lambda: _build_engine(ctx, backing_kind="simulated",
-                                 batch=ctx["batch"],
-                                 kernel_threads=ctx["kernel_threads"]),
-           full, cfg(policy="lru", layout="whole", backing="simulated-hdd",
-                     batch=ctx["batch"],
-                     kernel_threads=ctx["kernel_threads"]))
-    yield ("fig5_ooc_block_batch", "fig5",
-           lambda: _build_engine(ctx, backing_kind="simulated",
-                                 layout="block", batch=ctx["batch"],
-                                 kernel_threads=ctx["kernel_threads"]),
-           full, cfg(policy="lru", layout="block",
-                     block_sites=ctx["block_sites"], backing="simulated-hdd",
-                     batch=ctx["batch"],
-                     kernel_threads=ctx["kernel_threads"]))
     yield ("fig5_paging", "fig5",
            lambda: _build_engine(ctx, store=_paging_store(ctx)),
            full, cfg(policy=None, layout="paged", backing="simulated-hdd"))
@@ -318,19 +295,17 @@ def _workloads(ctx):
 
 
 def _warm_kernels(ctx):
-    """One throwaway traversal per execution path before anything is timed.
+    """One throwaway traversal before anything is timed.
 
     The first numpy contraction in a process pays one-off setup (BLAS
     initialisation, einsum path search, allocator growth) that would
-    otherwise be charged to whichever workload happens to run first and
-    skew the batched-vs-unbatched speedup both ways.
+    otherwise be charged to whichever workload happens to run first.
     """
-    for batch in (None, 2):
-        engine = _build_engine(ctx, batch=batch)
-        try:
-            engine.full_traversals(1)
-        finally:
-            engine.close()
+    engine = _build_engine(ctx)
+    try:
+        engine.full_traversals(1)
+    finally:
+        engine.close()
 
 
 def _paging_store(ctx):
@@ -351,8 +326,6 @@ def run_bench(args) -> int:
         "traversals": args.traversals,
         "radius": args.radius,
         "block_sites": args.block_sites,
-        "batch": args.batch,
-        "kernel_threads": args.kernel_threads,
         "shards": args.shards,
     }
     ctx["geometry"] = _geometry(ctx)
@@ -362,7 +335,7 @@ def run_bench(args) -> int:
     for name, figure, build, run, config in _workloads(ctx):
         # Best-of-N wall time: single cold runs of these millisecond-scale
         # workloads are dominated by scheduler noise, which would swamp the
-        # batched-vs-unbatched speedup.  Likelihoods and counters are
+        # wall-time figures --baseline tracks.  Likelihoods and counters are
         # deterministic, so repeat runs must agree bit-for-bit — N repeats
         # double as a determinism check.  The SPR searches are seconds-long
         # (noise-insensitive) and run once.
@@ -418,31 +391,6 @@ def run_bench(args) -> int:
               f"{entry['wall_seconds']:.3f}s  "
               f"miss {entry['derived']['miss_rate']:.2%}  "
               f"read {entry['derived']['read_rate']:.2%}")
-
-    # The batched fig5 entries must be bit-identical to their unbatched
-    # partners — same lnL, same demand/eviction counters — or the batched
-    # execution path is broken.  A bench run therefore doubles as the
-    # batching correctness gate; the speedup lands in ``derived`` so a
-    # --baseline comparison tracks it like any other timing figure.
-    batch_pairs = (("fig5_ooc_whole", "fig5_ooc_whole_batch"),
-                   ("fig5_ooc_block", "fig5_ooc_block_batch"))
-    for plain_name, batch_name in batch_pairs:
-        plain, batched = workloads[plain_name], workloads[batch_name]
-        if batched["log_likelihood"] != plain["log_likelihood"]:
-            raise ReproError(
-                f"{batch_name} lnL {batched['log_likelihood']!r} differs "
-                f"from {plain_name} {plain['log_likelihood']!r}: batched "
-                "schedule is not bit-identical")
-        diff = [k for k in RESULT_METRICS
-                if batched["metrics"][k] != plain["metrics"][k]]
-        if diff:
-            raise ReproError(
-                f"{batch_name} counters differ from {plain_name} on "
-                f"{diff}: batched schedule broke access-sequence parity")
-        speedup = plain["wall_seconds"] / max(batched["wall_seconds"], 1e-9)
-        batched["derived"]["speedup_vs_unbatched"] = float(speedup)
-        print(f"{batch_name:>24}: {speedup:.2f}x vs {plain_name} "
-              "(lnL + counters bit-identical)")
 
     # Compressed-backing gate: same LRU/whole-vector workload as
     # fig5_ooc_whole, so the likelihood and demand counters must match
@@ -536,16 +484,6 @@ def run_bench(args) -> int:
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"results written : {out} ({len(workloads)} workloads)")
 
-    if args.min_batch_speedup is not None:
-        got = workloads["fig5_ooc_block_batch"]["derived"][
-            "speedup_vs_unbatched"]
-        if got < args.min_batch_speedup:
-            print(f"REGRESSION: fig5_ooc_block_batch speedup {got:.2f}x < "
-                  f"required {args.min_batch_speedup:.2f}x", file=sys.stderr)
-            return 1
-        print(f"batch speedup   : {got:.2f}x "
-              f">= {args.min_batch_speedup:.2f}x required")
-
     if args.min_shard_speedup is not None:
         got = workloads["fig5_ooc_sharded_hdd"]["derived"][
             "speedup_vs_one_shard"]
@@ -622,18 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--block-sites", type=int, default=64,
                         help="sites per block for the block-layout "
                              "workloads (default 64)")
-    parser.add_argument("--batch", type=int, default=-1,
-                        help="group cap for the *_batch workloads: -1 = "
-                             "auto (num_slots // 3), N > 0 = explicit cap "
-                             "(default -1)")
-    parser.add_argument("--kernel-threads", type=int, default=1,
-                        help="kernel/gather overlap threads for the "
-                             "*_batch workloads (default 1 = off)")
-    parser.add_argument("--min-batch-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail unless fig5_ooc_block_batch is at least "
-                             "X times faster than fig5_ooc_block (off by "
-                             "default; timing gates need a quiet machine)")
     parser.add_argument("--shards", type=int, default=4,
                         help="worker processes for the fig5_ooc_sharded* "
                              "workloads (default 4)")

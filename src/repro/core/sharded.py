@@ -788,6 +788,8 @@ class _ShardClient:
             old.join(timeout=5.0)
         try:
             self._spawn()
+            if old is not None:
+                _release(old)
             attach = json.dumps(self.spec).encode()
             frames = _frame(self._reserve_req(OP_ATTACH), OP_ATTACH, 0, attach)
             if self.owner._armed:
@@ -846,11 +848,18 @@ class _ShardClient:
             if proc.is_alive():  # pragma: no cover - stuck-worker safety net
                 proc.terminate()
                 proc.join(timeout=5.0)
+            _release(proc)
         if sock is not None:
             with contextlib.suppress(OSError):
                 sock.close()
         if self._receiver is not None:
             self._receiver.join(timeout=5.0)
+
+
+def _release(proc: multiprocessing.process.BaseProcess) -> None:
+    """Free a joined worker's sentinel pipe (``close`` raises while alive)."""
+    if not proc.is_alive():
+        proc.close()
 
 
 class ShardedBackingStore:

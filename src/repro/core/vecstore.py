@@ -283,11 +283,6 @@ class AncestralVectorStore:
         self.track_dirty = bool(track_dirty)
         self.poison_skipped_reads = bool(poison_skipped_reads)
         self.stats = IoStats()
-        # Deferred writes (``fill``) that found their item evicted and had
-        # to go straight to staging/backing. Diagnostic only — deliberately
-        # *not* an IoStats counter, since fills are outside the demand/
-        # eviction trace whose parity the counters certify.
-        self.fill_spills = 0  # guarded-by: _lock
 
         # Slot arena: one contiguous block, vector i occupies slots[s] whole.
         # The arena itself is NOT lock-guarded: a slot's data is only touched
@@ -676,74 +671,6 @@ class AncestralVectorStore:
                 raise OutOfCoreError(f"item {item} is not resident")
             self._dirty[slot] = True
             self._ever_stored[item] = True
-
-    def fill(self, item: int, data: np.ndarray) -> None:
-        """Out-of-band completion of an earlier write-only ``get``.
-
-        The batched execution path fetches each group member's target
-        write-only at its exact position in the access sequence but
-        computes the contents only after the whole group's operands are
-        stacked; ``fill`` then lands the result wherever the item now
-        lives. ``data`` covers the leading ``data.shape[0]`` rows of the
-        item (a ragged last block leaves the slot's padding rows as they
-        were — exactly what an in-place kernel write would have done).
-
-        This is *not* an access: no counter moves and the replacement
-        policy is not consulted, so the demand/eviction parity of the
-        surrounding ``get`` sequence is preserved by construction. Three
-        cases:
-
-        * resident → copy into the slot (its write-only ``get`` already
-          marked it dirty; re-mark anyway in case a racing prefetch
-          reloaded it clean);
-        * evicted since the write-only ``get`` → the eviction persisted
-          stale bytes; write the real ones through the write-behind
-          queue (coalescing — newest copy wins) or straight to backing;
-        * load in flight (prefetch) → wait for it, then overwrite the
-          slot, so a reload of pre-fill bytes can never win the race.
-        """
-        item = int(item)
-        self._check_item(item)
-        span = int(data.shape[0])
-        staged = False
-        rc = self._race
-        while True:
-            wait_ev = None
-            with self._cond:
-                if rc is not None:
-                    rc.read(self._race_scope, "_inflight", "_item_slot")
-                wait_ev = self._inflight.get(item)
-                if wait_ev is None:
-                    slot = int(self._item_slot[item])
-                    if slot >= 0:
-                        if rc is not None:
-                            rc.write(self._race_scope, "_dirty", "_ever_stored")
-                        self._slots[slot][:span] = data
-                        self._dirty[slot] = True
-                        self._ever_stored[item] = True
-                        return
-                    if staged:
-                        # Persisted below and still non-resident: any get
-                        # from here on reads the staged/written copy.
-                        return
-            if wait_ev is not None:
-                wait_ev.wait()
-                continue
-            # Non-resident: persist a full-size buffer out-of-band, then
-            # re-check — a prefetch that raced us and loaded stale bytes
-            # is overwritten in-slot on the next pass.
-            buf = np.zeros(self.item_shape, dtype=self.dtype)
-            buf[:span] = data
-            if self._writeback is not None:
-                self._writeback.put(item, buf)
-            else:
-                self.backing.write(item, buf)
-            with self._cond:
-                if rc is not None:
-                    rc.write(self._race_scope, "_ever_stored", "fill_spills")
-                self._ever_stored[item] = True
-                self.fill_spills += 1
-            staged = True
 
     def _allocate_slot(self, item: int, pins: tuple) -> int:  # holds: _cond
         rc = self._race

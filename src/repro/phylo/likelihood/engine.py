@@ -28,11 +28,6 @@ from repro.core.layout import StorageLayout, WholeVectorLayout, make_layout
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import LikelihoodError
 from repro.phylo.likelihood import kernels
-from repro.phylo.likelihood.schedule import (
-    BatchGroup,
-    ScheduleCache,
-    default_group_cap,
-)
 from repro.phylo.likelihood.traversal import (
     OrientationState,
     TraversalPlan,
@@ -95,21 +90,6 @@ class LikelihoodEngine:
         prefetch thread); reads overlap the likelihood kernels. Works with
         an explicit ``store`` too, provided it is an
         :class:`AncestralVectorStore`.
-    batch:
-        Batched kernel scheduling (:mod:`repro.phylo.likelihood.schedule`):
-        ``0``/``None`` (default) runs the classic per-block loop; ``-1``
-        ("auto") groups up to ``num_slots // 3`` independent (step, block)
-        updates per fused kernel call — the residency-safe cap; a positive
-        value sets the group cap explicitly. The store access sequence,
-        all demand/eviction counters and the CLV bits are identical to
-        the unbatched path (§4.1). Requires a store with the out-of-band
-        ``fill`` protocol (:class:`AncestralVectorStore`).
-    kernel_threads:
-        With ``batch`` enabled and ``kernel_threads > 1``, the fused
-        kernel of one group overlaps the operand gathering of the next
-        *independent* group on a worker thread (numpy releases the GIL
-        inside the contractions). Results and counters are unchanged;
-        store calls stay on the compute thread in schedule order.
     dtype:
         ``float64`` (default) or ``float32`` for the single-precision mode.
     """
@@ -135,8 +115,6 @@ class LikelihoodEngine:
         writeback_depth: int = 0,
         io_threads: int = 1,
         prefetch_depth: int = 0,
-        batch: int | str | None = None,
-        kernel_threads: int = 1,
         dtype=np.float64,
     ) -> None:
         if tree.num_tips < 3:
@@ -225,32 +203,9 @@ class LikelihoodEngine:
 
             self.prefetcher = ThreadedPrefetcher(store, depth=prefetch_depth)
 
-        if batch in (None, 0):
-            self.batch_members = 0
-        else:
-            if not hasattr(self.store, "fill"):
-                raise LikelihoodError(
-                    "batch needs a store with the out-of-band fill protocol "
-                    f"(got {type(self.store).__name__})"
-                )
-            if batch == -1 or batch == "auto":
-                self.batch_members = default_group_cap(self.store.num_slots)
-            elif isinstance(batch, int) and batch > 0:
-                self.batch_members = int(batch)
-            else:
-                raise LikelihoodError(
-                    f"batch must be None/0 (off), -1/'auto' or a positive "
-                    f"group cap, got {batch!r}"
-                )
-        self.kernel_threads = int(kernel_threads)
-        if self.kernel_threads < 1:
-            raise LikelihoodError(
-                f"kernel_threads must be >= 1, got {kernel_threads}")
-        self._schedule_cache = ScheduleCache() if self.batch_members else None
-        self._kernel_pool = None
-        # Under REPRO_SANITIZE=race, scale-count/orientation traffic and
-        # the kernel-pool handoff carry happens-before edges (zero cost
-        # otherwise — see repro.analysis.race).
+        # Under REPRO_SANITIZE=race, scale-count/orientation traffic
+        # carries happens-before edges (zero cost otherwise — see
+        # repro.analysis.race).
         self._race = race_detector()
         self._race_scope = ("" if self._race is None
                             else self._race.new_scope("LikelihoodEngine"))
@@ -430,13 +385,7 @@ class LikelihoodEngine:
         there is exactly one block spanning all patterns and the sequence
         of store calls, pins and kernel operands is bit-for-bit the
         pre-layout one.
-
-        With ``batch`` enabled, execution is delegated to the batched
-        scheduler path (:meth:`_execute_plan_batched`): same store-call
-        sequence, same counters, same bits — fewer, larger kernels.
         """
-        if self.batch_members:
-            return self._execute_plan_batched(plan)
         if self.prefetcher is not None and plan.steps:
             self.prefetcher.feed(self.plan_accesses(plan))
         sp_plan = self.spans
@@ -506,232 +455,6 @@ class LikelihoodEngine:
             sp_plan.complete("execute_plan", exec_t0,
                              time.perf_counter() - exec_t0,
                              {"steps": len(plan.steps)})
-
-    # -- batched traversal execution ---------------------------------------------------
-
-    def _execute_plan_batched(self, plan: TraversalPlan) -> None:
-        """Run a plan through the batched schedule (same sequence, fused kernels).
-
-        Store accesses are issued on this thread in exactly the order
-        :meth:`plan_accesses` reports — child views are copied into the
-        group's operand stacks at fetch time, output targets are fetched
-        write-only at their sequence position and completed out-of-band
-        via :meth:`~repro.core.vecstore.AncestralVectorStore.fill` after
-        the fused group kernel. Demand/eviction counters therefore match
-        the unbatched path bit for bit under every replacement policy,
-        and the kernels themselves are bit-identical by the
-        :mod:`~repro.phylo.likelihood.kernels` batched-kernel contract.
-
-        With ``kernel_threads > 1`` the group kernel runs on a worker
-        thread while this thread gathers the next group — but only when
-        the next group neither reads a node the in-flight group writes
-        nor sums its scale counts, so every operand copy still sees
-        finished data.
-        """
-        schedule = self._schedule_cache.get(
-            plan, self.layout, self.tree.num_tips, self.batch_members)
-        if self.prefetcher is not None and plan.steps:
-            self.prefetcher.feed(schedule.accesses())
-        sp_plan = self.spans
-        exec_t0 = time.perf_counter() if sp_plan is not None else 0.0
-        pool = self._ensure_kernel_pool()
-        pending: tuple | None = None  # (future, group) of an in-flight kernel
-        for gi, group in enumerate(schedule.groups):
-            if pending is not None and self._group_depends(group, pending[1]):
-                self._await_group(pending[0])
-                pending = None
-            stacks = self._gather_group(group)
-            if pool is None:
-                self._compute_group(gi, group, stacks)
-            else:
-                if pending is not None:
-                    self._await_group(pending[0])  # depth-1 pipeline
-                pending = (self._submit_group(pool, gi, group, stacks), group)
-        if pending is not None:
-            self._await_group(pending[0])
-        if sp_plan is not None:
-            sp_plan.complete("execute_plan", exec_t0,
-                             time.perf_counter() - exec_t0,
-                             {"steps": len(plan.steps),
-                              "groups": len(schedule.groups)})
-
-    def _ensure_kernel_pool(self):
-        if self.kernel_threads <= 1:
-            return None
-        if self._kernel_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._kernel_pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-kernel")
-        return self._kernel_pool
-
-    def _submit_group(self, pool, gi: int, group: BatchGroup,
-                      stacks: list[dict]):
-        """Submit one group kernel, carrying a happens-before fork token.
-
-        Under the race sanitizer the worker must observe everything this
-        thread did before the submit (the gathered stacks, the children's
-        scale counts); the fork token joined at task start models exactly
-        that executor handoff. ``_await_group`` closes the reverse edge.
-        """
-        rc = self._race
-        token = None if rc is None else rc.fork()
-        return pool.submit(self._run_group, token, gi, group, stacks)
-
-    def _run_group(self, token, gi: int, group: BatchGroup,
-                   stacks: list[dict]):
-        rc = self._race
-        if rc is not None and token is not None:
-            rc.join(token)
-        self._compute_group(gi, group, stacks)
-        return None if rc is None else rc.fork()
-
-    def _await_group(self, fut) -> None:
-        """Block on an in-flight group kernel and join its clock edge."""
-        end = fut.result()
-        rc = self._race
-        if rc is not None and end is not None:
-            rc.join(end)
-
-    @staticmethod
-    def _group_depends(group: BatchGroup, running: BatchGroup) -> bool:
-        """Does ``group`` consume anything the ``running`` kernel produces?
-
-        True when any member of ``group`` has a child node (CLV operand
-        and scale-count summand alike) among ``running``'s output nodes.
-        Output items are unique within a plan, so write-write conflicts
-        cannot occur.
-        """
-        writes = {m.node for m in running.members}
-        return any(m.left in writes or m.right in writes
-                   for m in group.members)
-
-    def _gather_group(self, group: BatchGroup) -> list[dict]:
-        """Issue the group's store accesses in order; stack the operands.
-
-        Members are partitioned into *span classes* (full blocks vs the
-        ragged last block) so every fused contraction runs on exact
-        shapes — the per-``(member, category)`` GEMM is then the same
-        product as the per-member einsum, which is what keeps the batched
-        path bit-identical. Each child view is copied into its stack row
-        immediately after its ``get``, before any later access can evict
-        the slot.
-        """
-        C = self.rates.num_categories
-        S = self.model.num_states
-        classes: dict[int, dict] = {}
-        for m in group.members:
-            cls = classes.get(m.span)
-            if cls is None:
-                cls = classes[m.span] = {
-                    "span": m.span, "members": [],
-                    "n_inner": 0, "n_tip": 0,
-                }
-            cls["members"].append(m)
-            for child_item in (m.left_item, m.right_item):
-                if child_item >= 0:
-                    cls["n_inner"] += 1
-                else:
-                    cls["n_tip"] += 1
-        for cls in classes.values():
-            span = cls["span"]
-            cls["inner_clv"] = np.empty((cls["n_inner"], span, C, S),
-                                        dtype=self.dtype)
-            cls["P_inner"] = np.empty((cls["n_inner"], C, S, S),
-                                      dtype=self.dtype)
-            cls["inner_dest"] = []  # (side, member position in class)
-            cls["tip_codes"] = np.empty((cls["n_tip"], span), dtype=np.int64)
-            cls["P_tip"] = np.empty((cls["n_tip"], C, S, S), dtype=self.dtype)
-            cls["tip_dest"] = []
-            cls["np"] = cls["ji"] = cls["jt"] = 0
-
-        for m in group.members:
-            cls = classes[m.span]
-            pos = cls["np"]
-            cls["np"] = pos + 1
-            P_left = self._P(m.node, m.left)
-            P_right = self._P(m.node, m.right)
-            fi = 0
-            for side, child, child_item, P in (
-                    (0, m.left, m.left_item, P_left),
-                    (1, m.right, m.right_item, P_right)):
-                if child_item >= 0:
-                    item, pins, wo = m.fetches[fi]
-                    fi += 1
-                    view = self._timed_get(item, pins=pins, write_only=wo)
-                    j = cls["ji"]
-                    cls["ji"] = j + 1
-                    cls["inner_clv"][j] = view[:m.span]
-                    cls["P_inner"][j] = P
-                    cls["inner_dest"].append((side, pos))
-                else:
-                    j = cls["jt"]
-                    cls["jt"] = j + 1
-                    cls["tip_codes"][j] = self._tip_codes[child][m.lo:m.hi]
-                    cls["P_tip"][j] = P
-                    cls["tip_dest"].append((side, pos))
-            item, pins, wo = m.fetches[fi]
-            self._timed_get(item, pins=pins, write_only=wo)  # view deferred
-        return list(classes.values())
-
-    def _compute_group(self, gi: int, group: BatchGroup,  # thread: kernel
-                       stacks: list[dict]) -> None:
-        """Fused kernels for one gathered group, then out-of-band fills.
-
-        May run on the kernel worker thread; touches only this group's
-        stacks, its nodes' scale-count rows and the store's thread-safe
-        ``fill`` — never the demand ``get`` path.
-        """
-        tm, sp = self.timers, self.spans
-        rc = self._race
-        if rc is not None:
-            rc.write(self._race_scope, "scale_counts", "orientation")
-        k0 = time.perf_counter() if (tm is not None or sp is not None) else 0.0
-        # Scale-count prep once per node, before this group's rescales
-        # touch any of its rows (children finished in earlier groups).
-        for m in group.members:
-            if m.first_block:
-                counts = self.scale_counts[self.item(m.node)]
-                counts.fill(0)
-                if m.left >= self.tree.num_tips:
-                    counts += self.scale_counts[self.item(m.left)]
-                if m.right >= self.tree.num_tips:
-                    counts += self.scale_counts[self.item(m.right)]
-        C = self.rates.num_categories
-        S = self.model.num_states
-        for cls in stacks:
-            n = len(cls["members"])
-            span = cls["span"]
-            prop = np.empty((2, n, span, C, S), dtype=self.dtype)
-            if cls["n_inner"]:
-                contrib = kernels.propagate_inner_batch(
-                    cls["P_inner"], cls["inner_clv"])
-                for j, (side, pos) in enumerate(cls["inner_dest"]):
-                    prop[side, pos] = contrib[j]
-            if cls["n_tip"]:
-                tipc = kernels.propagate_tip_batch(
-                    cls["P_tip"], cls["tip_codes"], self._code_matrix)
-                for j, (side, pos) in enumerate(cls["tip_dest"]):
-                    prop[side, pos] = tipc[j]
-            res = np.empty((n, span, C, S), dtype=self.dtype)
-            scale_rows = [
-                self.scale_counts[self.item(m.node)][m.lo:m.hi]
-                for m in cls["members"]
-            ]
-            kernels.combine_and_rescale_batch(
-                prop[0], prop[1], res, scale_rows, self.scaling)
-            for pos, m in enumerate(cls["members"]):
-                self.store.fill(m.out_item, res[pos])
-        if tm is not None or sp is not None:
-            k_dt = time.perf_counter() - k0
-            if tm is not None:
-                tm.add("kernel", k_dt)
-            if sp is not None:
-                sp.complete("kernel", k0, k_dt,
-                            {"group": gi, "members": len(group.members)})
-        for m in group.members:
-            if m.last_block:
-                self.orientation.set(m.node, m.toward)
 
     # -- likelihood evaluation ----------------------------------------------------------
 
@@ -999,9 +722,6 @@ class LikelihoodEngine:
         if self.prefetcher is not None:
             self.prefetcher.stop()
             self.prefetcher = None
-        if self._kernel_pool is not None:
-            self._kernel_pool.shutdown(wait=True)
-            self._kernel_pool = None
         close = getattr(self.store, "close", None)
         if close is not None:
             close()

@@ -100,115 +100,6 @@ def rescale_clv(clv: np.ndarray, scale_counts: np.ndarray, scheme: ScalingScheme
     return n
 
 
-# -- batched variants (one contraction per group of independent updates) --------
-#
-# The batched kernels run a whole *group* of (node, block) updates —
-# assembled by repro.phylo.likelihood.schedule — as single contractions
-# over a stacked leading "member" axis. Bit-identity with the per-member
-# kernels above is part of their contract (the §4.1 criterion): the
-# batched matmul form evaluates, per (member, category), exactly the same
-# (span, S) × (S, S) product the per-member einsum lowers to, the batched
-# tip path is the same lookup-table einsum followed by a pure gather, and
-# max/multiply are rounding-free. tests/test_batch.py enforces equality
-# down to the last bit against a loop of ``update_clv`` calls.
-
-
-def propagate_inner_batch(P: np.ndarray, clv: np.ndarray) -> np.ndarray:
-    """Batched :func:`propagate_inner` over a leading member axis.
-
-    ``P`` is ``(M, C, S, S)``, ``clv`` is ``(M, I, C, S)``; returns
-    ``(M, I, C, S)`` with ``out[m,i,c,a] = Σ_b P[m,c,a,b]·clv[m,i,c,b]``.
-    Implemented as one batched GEMM — per ``(m, c)`` the same
-    ``(I, S) @ (S, S)ᵀ`` product as the per-member einsum — which is both
-    bit-identical to and substantially faster than ``M`` separate einsum
-    calls (the contraction setup and dispatch are paid once).
-    """
-    prod = np.matmul(clv.transpose(0, 2, 1, 3), P.transpose(0, 1, 3, 2))
-    return prod.transpose(0, 2, 1, 3)
-
-
-def tip_lookup_batch(P: np.ndarray, code_matrix: np.ndarray) -> np.ndarray:
-    """Batched :func:`tip_lookup`: ``(M, C, S, S)`` → ``(M, C, K, S)``."""
-    return np.einsum("mcab,kb->mcka", P, code_matrix, optimize=True)
-
-
-def propagate_tip_batch(P: np.ndarray, codes: np.ndarray,
-                        code_matrix: np.ndarray) -> np.ndarray:
-    """Batched :func:`propagate_tip`.
-
-    ``P`` is ``(M, C, S, S)``, ``codes`` is ``(M, I)`` int; returns
-    ``(M, I, C, S)``. The lookup tables are built in one einsum; the
-    per-site indexing is a pure gather (no arithmetic), so the values are
-    bit-identical to the per-member path by construction.
-    """
-    lut = tip_lookup_batch(P, code_matrix)          # (M, C, K, S)
-    m_idx = np.arange(lut.shape[0])[:, None]
-    # Advanced indices at axes 0 and 2 around the ``:`` slice put the
-    # broadcast (M, I) axes first: result[m,i,c,s] = lut[m,c,codes[m,i],s].
-    return lut[m_idx, :, codes, :]
-
-
-def combine_and_rescale_batch(
-    left: np.ndarray,
-    right: np.ndarray,
-    out: np.ndarray,
-    scale_rows: list[np.ndarray],
-    scheme: ScalingScheme,
-) -> int:
-    """Fused :func:`combine_children` + :func:`rescale_clv` over a stack.
-
-    ``left``/``right``/``out`` are ``(M, I, C, S)``; ``scale_rows[m]`` is
-    member ``m``'s ``(I,)`` int32 scale-count slice (pre-loaded with the
-    children's counts, exactly as :func:`rescale_clv` requires). Returns
-    the total number of (member, site) rescales applied. The site maxima
-    and threshold comparisons are computed over the whole stack at once;
-    ``max`` and the power-of-two multiply are exact, so scaling decisions
-    — and hence the counters and the CLV bits — match the per-member path.
-    """
-    np.multiply(left, right, out=out)
-    site_max = out.max(axis=(2, 3))                 # (M, I)
-    mask = site_max < scheme.threshold
-    n = int(mask.sum())
-    if n:
-        out[mask] *= scheme.multiplier
-        for m in np.nonzero(mask.any(axis=1))[0]:
-            scale_rows[m][mask[m]] += 1
-    return n
-
-
-def update_clv_batch(
-    out: np.ndarray,
-    P_left: np.ndarray,
-    P_right: np.ndarray,
-    left_clv: np.ndarray | None,
-    right_clv: np.ndarray | None,
-    left_codes: np.ndarray | None,
-    right_codes: np.ndarray | None,
-    code_matrix: np.ndarray,
-    scale_rows: list[np.ndarray],
-    scheme: ScalingScheme,
-) -> None:
-    """A stack of independent Felsenstein steps as one fused update.
-
-    The batched analogue of :func:`update_clv`: every operand carries a
-    leading member axis ``M`` and each *side* is homogeneous — all inner
-    (``*_clv`` of shape ``(M, I, C, S)``) or all tips (``*_codes`` of
-    shape ``(M, I)``). Heterogeneous groups are handled by the engine,
-    which splits each side's members between the two propagate kernels;
-    this entry point covers the homogeneous case in one call and is the
-    reference fused path for the bit-identity tests.
-    """
-    if (left_clv is None) == (left_codes is None):
-        raise LikelihoodError("left side must be exactly one of CLV or tip codes")
-    if (right_clv is None) == (right_codes is None):
-        raise LikelihoodError("right side must be exactly one of CLV or tip codes")
-    lc = (propagate_tip_batch(P_left, left_codes, code_matrix)
-          if left_clv is None else propagate_inner_batch(P_left, left_clv))
-    rc = (propagate_tip_batch(P_right, right_codes, code_matrix)
-          if right_clv is None else propagate_inner_batch(P_right, right_clv))
-    combine_and_rescale_batch(lc, rc, out, scale_rows, scheme)
-
-
 def update_clv(
     out: np.ndarray,
     P_left: np.ndarray,

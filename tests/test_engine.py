@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     GTR,
@@ -356,12 +358,42 @@ class TestFloat32BlockLayouts:
         assert e32.scale_counts.sum() > 0          # 2^-30 rescale engaged
         assert e32.scale_counts.sum() > e64.scale_counts.sum()
 
-    def test_float32_batched_matches_unbatched_bitwise(self, small_tree,
-                                                       small_alignment,
-                                                       small_model):
-        rates = RateModel.gamma(0.8, 4)
-        plain = self._build(small_tree, small_alignment, small_model, rates,
-                            np.float32)
-        batched = self._build(small_tree, small_alignment, small_model,
-                              rates, np.float32, batch=-1)
-        assert batched.full_traversals(2) == plain.full_traversals(2)
+
+@settings(max_examples=12, deadline=None)
+@given(
+    num_taxa=st.integers(min_value=4, max_value=14),
+    seed=st.integers(min_value=0, max_value=10**6),
+    block_sites=st.sampled_from([None, 16, 23]),
+    slots=st.integers(min_value=3, max_value=10),
+)
+def test_schedule_matches_runtime_access_sequence(num_taxa, seed,
+                                                  block_sites, slots):
+    """plan_accesses is exactly what execute_plan issues through store.get.
+
+    The prefetcher is fed ``plan_accesses(plan)`` ahead of execution
+    (§3.4), so any drift between the two makes it fetch the wrong items.
+    """
+    tree = yule_tree(num_taxa, seed=seed)
+    model = JC69()
+    rates = RateModel.gamma(1.0, 2)
+    aln = simulate_alignment(tree, model, 48, rates=rates, seed=seed + 1)
+    layout = "whole" if block_sites is None else "block"
+    eng = LikelihoodEngine(tree.copy(), aln, model, rates,
+                           layout=layout, block_sites=block_sites,
+                           num_slots=slots, policy="lru")
+    plan = eng.plan(*eng.default_edge(), full=True)
+    expected = eng.plan_accesses(plan)
+    recorded = []
+    real_get = eng.store.get
+
+    def recording_get(item, pins=(), write_only=False):
+        recorded.append((item, tuple(pins), write_only))
+        return real_get(item, pins=pins, write_only=write_only)
+
+    eng.store.get = recording_get
+    try:
+        eng.execute_plan(plan)
+    finally:
+        eng.store.get = real_get
+        eng.close()
+    assert recorded == expected

@@ -9,8 +9,8 @@ Four layers of coverage:
   fuzzer seed; the guarded twin must stay clean.
 * **Fuzzer determinism** — the same seed reproduces the same per-thread
   decision trace bit for bit.
-* **Clean-tree gate** — representative async-I/O, batched-pipeline and
-  metrics workloads run sanitized across ≥ 8 interleaving seeds with
+* **Clean-tree gate** — representative async-I/O pipeline and metrics
+  workloads run sanitized across ≥ 8 interleaving seeds with
   zero findings, and the instrumented run's counters stay bit-identical
   to an uninstrumented run (pay-for-play passivity).
 """
@@ -280,8 +280,8 @@ def _run_async_pipeline(**kwargs):
 PIPELINES = {
     "writeback": dict(num_slots=5, writeback_depth=4, io_threads=2),
     "prefetch": dict(num_slots=6, prefetch_depth=3),
-    "batched": dict(num_slots=6, writeback_depth=4, io_threads=2,
-                    prefetch_depth=3, batch=-1, kernel_threads=2),
+    "async": dict(num_slots=6, writeback_depth=4, io_threads=2,
+                  prefetch_depth=3),
 }
 
 
@@ -289,7 +289,7 @@ class TestCleanTreeGate:
     @pytest.mark.parametrize("seed", FUZZ_SEEDS)
     @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
     def test_shipped_pipelines_race_free(self, pipeline, seed):
-        """Async-I/O + batched workloads: zero findings on every seed."""
+        """Async-I/O workloads: zero findings on every seed."""
         with sanitizer() as rc, InterleaveFuzzer(seed):
             _run_async_pipeline(**PIPELINES[pipeline])
         rc.assert_clean()
@@ -326,9 +326,9 @@ class TestCleanTreeGate:
         deterministic = ("requests", "hits", "misses", "reads", "read_skips",
                          "writes", "write_skips", "bytes_read",
                          "bytes_written", "miss_rate", "read_rate")
-        plain_lnl, plain_row = _run_async_pipeline(**PIPELINES["batched"])
+        plain_lnl, plain_row = _run_async_pipeline(**PIPELINES["async"])
         with sanitizer() as rc:
-            san_lnl, san_row = _run_async_pipeline(**PIPELINES["batched"])
+            san_lnl, san_row = _run_async_pipeline(**PIPELINES["async"])
         rc.assert_clean()
         assert san_lnl == plain_lnl
         for key in deterministic:
